@@ -1,11 +1,11 @@
 package peregrine
 
 // Benchmark harness: one testing.B benchmark per paper table and figure
-// (DESIGN.md §4). Benchmarks run representative cells at benchmark scale
-// through internal/harness, the same machinery cmd/tables uses for the
-// full row sets — run `go run ./cmd/tables -table all` to regenerate
-// every row of every table, and `go test -bench=.` for the quick
-// per-experiment timings recorded in EXPERIMENTS.md.
+// (the paper's §6). Benchmarks run representative cells at benchmark
+// scale through internal/harness, the same machinery cmd/tables uses for
+// the full row sets — run `go run ./cmd/tables -table all` to regenerate
+// every row of every table, and `go test -bench=.` for quick
+// per-experiment timings.
 
 import (
 	"fmt"
@@ -282,8 +282,8 @@ func BenchmarkTable6Constraints(b *testing.B) {
 		b.Run(ds+"/exists-14clique", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Deadline-bounded: ruling a 14-clique out on the dense
-				// stand-ins is combinatorially explosive (EXPERIMENTS.md,
-				// Table 6).
+				// stand-ins is combinatorially explosive (Table 6; see
+				// `go run ./cmd/tables -table 6`).
 				st, err := core.Run(g, pattern.Clique(14), func(ctx *core.Ctx, m *core.Match) {
 					ctx.Stop()
 				}, core.Options{Deadline: 5 * time.Second})
@@ -402,7 +402,7 @@ func BenchmarkFig13Memory(b *testing.B) {
 	})
 }
 
-// --- Engine micro-benchmarks (ablations called out in DESIGN.md) ----------------
+// --- Engine micro-benchmarks (ablations) ----------------------------------------
 
 // BenchmarkAblationPlanGeneration measures exploration-plan cost; the
 // paper reports "often in less than half a millisecond".

@@ -1,5 +1,5 @@
 // Command tables regenerates the paper's evaluation tables and figures
-// on the synthetic stand-in datasets (DESIGN.md §3–4). Each experiment
+// on the synthetic stand-in datasets (internal/harness). Each experiment
 // prints one row per measured cell; "(oom)" and "(limit)" cells mark
 // baseline runs that exceeded the resource budget, mirroring the
 // paper's "—" (out of memory) and "×" (did not finish) entries.

@@ -11,12 +11,22 @@
 // match to the user callback. Partial state lives only on the recursion
 // stack — the engine never materializes intermediate match sets, which
 // is the source of the paper's memory advantage (Figure 13).
+//
+// Count-only runs (nil callback) of plans without anti-vertices do not
+// enumerate the last non-core levels. A trailing level with a wildcard
+// label and no anti-edges contributes the size of its bounded candidate
+// set minus the already-matched vertices in it, and the last two such
+// levels fold into one merge pass over both candidate sets (see
+// worker.foldLastTwo) — counting the common neighbourhood rather than
+// visiting it, as pattern-decomposition systems do. Morphed motif
+// batches are made almost entirely of such plans.
 package core
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -679,6 +689,15 @@ type worker struct {
 	hubs   bool
 	bitArg []*bitset.Bitmap
 
+	// Count-only completion. tail is how many trailing non-core levels
+	// completeFrom counts in closed form rather than enumerates (see
+	// countTail); above reports that, with tail == 2, the last vertex
+	// is ordered above the second-to-last. inBuf is scratch for the
+	// matched vertices inside a counted candidate set.
+	tail  int
+	above bool
+	inBuf []uint32
+
 	m     Match // reused callback argument
 	stats Stats
 	tb    *profile.ThreadBreakdown
@@ -697,16 +716,51 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, ctx *Ctx, tb *profile
 		ncBufs:   make([][]uint32, len(pl.NonCore)+1),
 		listArg:  make([][]uint32, 0, n),
 		hubs:     g.HasHubBits(),
+		tail:     countTail(pl, cb),
 		tb:       tb,
 	}
 	if w.hubs {
 		w.bitArg = make([]*bitset.Bitmap, 0, n)
+	}
+	if w.tail > 0 {
+		w.inBuf = make([]uint32, 0, n)
+	}
+	if w.tail == 2 {
+		nc := pl.NonCore
+		w.above = slices.Contains(nc[len(nc)-1].LowerBound, nc[len(nc)-2].V)
 	}
 	for i := range w.match {
 		w.match[i] = NoVertex
 	}
 	w.m = Match{Pattern: pl.Pat, Mapping: w.match}
 	return w
+}
+
+// countTail returns how many trailing non-core levels of pl a worker
+// with callback cb counts in closed form. Only a count-only run (nil cb)
+// of a plan without anti-vertex checks qualifies — every match must
+// only be counted, and counted unconditionally once its regular
+// vertices are placed. A level qualifies when its label is the
+// wildcard and it has no anti-edges, so its candidates are exactly its
+// bounded common neighborhood minus the already-matched vertices. Two
+// levels fold when both qualify and the last is not ordered below the
+// second-to-last; plan generation never emits that ordering (pivots
+// are the smallest ids of their orbits, and non-core vertices of one
+// orbit complete in ascending id order), so it is left to recursion
+// rather than given an untested branch.
+func countTail(pl *plan.Plan, cb Callback) int {
+	qualifies := func(st *plan.NonCoreStep) bool {
+		return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
+	}
+	nc := pl.NonCore
+	n := len(nc)
+	if cb != nil || len(pl.Checks) > 0 || n == 0 || !qualifies(&nc[n-1]) {
+		return 0
+	}
+	if n < 2 || !qualifies(&nc[n-2]) || slices.Contains(nc[n-1].UpperBound, nc[n-2].V) {
+		return 1
+	}
+	return 2
 }
 
 // completeCore converts the matched ordered view into core matches — one
@@ -733,9 +787,11 @@ func (w *worker) completeCore(mo *plan.MatchingOrder) {
 // completeFrom recursively assigns non-core vertices in plan order.
 // Candidates depend only on the core match (non-core vertices are an
 // independent set), plus ordering and distinctness constraints against
-// earlier assignments.
+// earlier assignments. On a count-only worker the trailing w.tail
+// levels are counted in closed form instead of enumerated.
 func (w *worker) completeFrom(i int) {
-	if i == len(w.pl.NonCore) {
+	n := len(w.pl.NonCore)
+	if i == n {
 		w.tb.Enter(profile.StageNonCore) // anti-vertex set intersections
 		if w.checkAntiVertices() {
 			w.stats.Matches++
@@ -752,46 +808,22 @@ func (w *worker) completeFrom(i int) {
 	st := &w.pl.NonCore[i]
 
 	w.tb.Enter(profile.StagePO)
-	lo, hi := noLo, noHi
-	for _, pv := range st.LowerBound {
-		if d := int64(w.match[pv]); d > lo {
-			lo = d
-		}
-	}
-	for _, pv := range st.UpperBound {
-		if d := int64(w.match[pv]); d < hi {
-			hi = d
-		}
-	}
+	lo, hi := w.bounds(st, -1)
 	if lo >= hi {
 		w.tb.Enter(profile.StageOther)
 		return
 	}
 
 	w.tb.Enter(profile.StageNonCore)
-	lists := w.listArg[:0]
-	var bits []*bitset.Bitmap
-	if w.hubs {
-		bits = w.bitArg[:0]
-	}
-	for _, pv := range st.CoreNbrs {
-		dv := w.match[pv]
-		lists = append(lists, w.g.Adj(dv))
-		if w.hubs {
-			bits = append(bits, w.g.HubBits(dv))
-		}
-	}
-	if cap(w.ncBufs[i]) == 0 {
-		w.ncBufs[i] = make([]uint32, 0, 256)
-	}
-	// cands is read-only below: single-list results alias graph
-	// adjacency storage (intersectListsInto ownership contract).
-	cands := intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
-	if len(lists) > 1 {
-		w.stats.Intersections++
-		if cap(cands) > cap(w.ncBufs[i]) {
-			w.ncBufs[i] = cands[:0:cap(cands)]
-		}
+	cands := w.candidates(i, lo, hi)
+	switch {
+	case w.tail == 1 && i == n-1:
+		// Every unassigned candidate completes exactly one match.
+		w.stats.Matches += uint64(len(cands) - len(w.assignedIn(cands)))
+		return
+	case w.tail == 2 && i == n-2:
+		w.stats.Matches += w.foldLastTwo(cands)
+		return
 	}
 
 	// Candidate filtering, distinctness, and anti-edge rejection are all
@@ -801,10 +833,8 @@ outer:
 		if st.Label != pattern.Wildcard && pattern.Label(w.g.Label(c)) != st.Label {
 			continue
 		}
-		for _, used := range w.assigned {
-			if used == c {
-				continue outer
-			}
+		if w.isAssigned(c) {
+			continue
 		}
 		// Anti-edge enforcement: c must not be adjacent to the match of
 		// any anti-adjacent core vertex (§4.2's set difference, applied
@@ -821,6 +851,134 @@ outer:
 		w.assigned = w.assigned[:len(w.assigned)-1]
 		w.match[st.V] = NoVertex
 	}
+}
+
+// bounds returns the exclusive id window (lo, hi) the partial-order
+// conditions impose on step st's candidates, ignoring conditions
+// against pattern vertex skip (-1 ignores none).
+func (w *worker) bounds(st *plan.NonCoreStep, skip int) (lo, hi int64) {
+	lo, hi = noLo, noHi
+	for _, pv := range st.LowerBound {
+		if d := int64(w.match[pv]); pv != skip && d > lo {
+			lo = d
+		}
+	}
+	for _, pv := range st.UpperBound {
+		if d := int64(w.match[pv]); pv != skip && d < hi {
+			hi = d
+		}
+	}
+	return lo, hi
+}
+
+// candidates intersects the adjacency lists of level i's matched core
+// neighbors, clipped to (lo, hi). The result is read-only: single-list
+// results alias graph adjacency storage (intersectListsInto ownership
+// contract).
+func (w *worker) candidates(i int, lo, hi int64) []uint32 {
+	lists := w.listArg[:0]
+	var bits []*bitset.Bitmap
+	if w.hubs {
+		bits = w.bitArg[:0]
+	}
+	for _, pv := range w.pl.NonCore[i].CoreNbrs {
+		dv := w.match[pv]
+		lists = append(lists, w.g.Adj(dv))
+		if w.hubs {
+			bits = append(bits, w.g.HubBits(dv))
+		}
+	}
+	if cap(w.ncBufs[i]) == 0 {
+		w.ncBufs[i] = make([]uint32, 0, 256)
+	}
+	cands := intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
+	if len(lists) > 1 {
+		w.stats.Intersections++
+		if cap(cands) > cap(w.ncBufs[i]) {
+			w.ncBufs[i] = cands[:0:cap(cands)]
+		}
+	}
+	return cands
+}
+
+// isAssigned reports whether data vertex c is already matched.
+func (w *worker) isAssigned(c uint32) bool {
+	for _, used := range w.assigned {
+		if used == c {
+			return true
+		}
+	}
+	return false
+}
+
+// assignedIn returns the matched data vertices that lie in sorted s,
+// in w.inBuf.
+func (w *worker) assignedIn(s []uint32) []uint32 {
+	in := w.inBuf[:0]
+	for _, a := range w.assigned {
+		if containsSorted(s, a) {
+			in = append(in, a)
+		}
+	}
+	return in
+}
+
+// foldLastTwo counts the completions of the last two non-core levels
+// given the second-to-last level's candidates C, enumerating neither.
+// The last level's candidate set S is built once, bounded only by the
+// vertices matched before C, and C is folded into one merge pass over
+// sorted C and S. With A the matched vertices in S and m = |S∖A|, each
+// unassigned c contributes m − [c∈S], or |{s∈S∖A : s > c}| when the
+// last vertex is ordered above the previous one (w.above).
+//
+// S is built lazily, at the first unassigned candidate with a
+// non-empty window: a level whose candidates are all assigned or all
+// bound out pays no intersection.
+func (w *worker) foldLastTwo(cands []uint32) uint64 {
+	n := len(w.pl.NonCore)
+	last := &w.pl.NonCore[n-1]
+	lo, hi := w.bounds(last, w.pl.NonCore[n-2].V)
+	if lo >= hi {
+		return 0
+	}
+	var (
+		s     []uint32
+		inS   []uint32 // A, ascending
+		built bool
+		total uint64
+		j, k  int
+	)
+	for _, c := range cands {
+		if w.isAssigned(c) {
+			continue
+		}
+		if w.above && int64(c)+1 >= hi {
+			break // no id fits between c and hi, nor above any later c
+		}
+		if !built {
+			built = true
+			if w.above && int64(c) > lo {
+				lo = int64(c) // later candidates are larger still
+			}
+			s = w.candidates(n-1, lo, hi)
+			inS = w.assignedIn(s)
+			slices.Sort(inS)
+		}
+		if !w.above {
+			j = gallopLowerBound(s, j, c)
+			total += uint64(len(s) - len(inS))
+			if j < len(s) && s[j] == c {
+				total--
+			}
+			continue
+		}
+		j = gallopLowerBound(s, j, c+1)
+		for k < len(inS) && inS[k] <= c {
+			k++
+		}
+		total += uint64((len(s) - j) - (len(inS) - k))
+	}
+	return total
 }
 
 // checkAntiVertices verifies the §4.3 constraint for every anti-vertex:

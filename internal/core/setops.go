@@ -28,7 +28,7 @@ import "peregrine/internal/bitset"
 //
 // Callers that need a uniformly writable result must copy the
 // single-list case; the engine instead treats every candidate set as
-// read-only (see multiWorker.descend and worker.completeFrom).
+// read-only (see multiWorker.descend and worker.candidates).
 
 // unbounded marks an absent id bound; ids are uint32 so int64 sentinels
 // never collide with real values.

@@ -155,7 +155,7 @@ func assignLabels(b *graph.Builder, n uint32, labels int, rng *RNG) {
 // Dataset names the paper dataset a stand-in models.
 type Dataset string
 
-// Stand-in dataset names. See DESIGN.md §3 for the substitution rationale.
+// Stand-in dataset names; each comment gives the paper dataset modeled.
 const (
 	MicoLite       Dataset = "mico-lite"       // Mico: labeled power-law, avg deg ~21.6, 29 labels
 	PatentsLite    Dataset = "patents-lite"    // Patents: flat degree, avg deg ~10

@@ -3,7 +3,7 @@
 // dataset stand-ins at benchmark scale, the baseline-system
 // configurations, and structured result rows. Both cmd/tables and the
 // repository's bench_test.go drive experiments through this package so
-// the numbers in EXPERIMENTS.md and the benchmarks stay in sync.
+// the rows cmd/tables prints and the benchmarks stay in sync.
 package harness
 
 import (
@@ -447,7 +447,8 @@ func Table4(cfg Config) []Row {
 			add(app, ds, "FCL", dfsSec, dfsN, failReason(dfsM))
 		}
 		// Pattern matching p1–p6 (vertex-induced semantics for both
-		// systems; see EXPERIMENTS.md).
+		// systems, so their counts compare row by row in
+		// `go run ./cmd/tables -table 4`).
 		for _, pname := range []string{"p1", "p2", "p3", "p4", "p5", "p6"} {
 			p := evalPattern(pname)
 			gg := g

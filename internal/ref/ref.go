@@ -28,11 +28,16 @@ func CountAll(g *graph.Graph, p *pattern.Pattern) uint64 {
 
 // CountUnique returns the number of automorphism classes of matches,
 // which equals the engine's match count with symmetry breaking enabled.
-// Every class has the same size: |Aut(p)| divided by the number of
-// automorphisms that fix every regular vertex (those permute only
-// anti-vertices and do not change the delivered mapping).
 func CountUnique(g *graph.Graph, p *pattern.Pattern) uint64 {
-	all := CountAll(g, p)
+	return CountAll(g, p) / ClassSize(p)
+}
+
+// ClassSize returns how many of CountAll's mappings form one
+// automorphism class of p's matches. Every class has the same size:
+// |Aut(p)| divided by the number of automorphisms that fix every
+// regular vertex (those permute only anti-vertices and do not change
+// the delivered mapping).
+func ClassSize(p *pattern.Pattern) uint64 {
 	autos := p.Automorphisms()
 	fixReg := 0
 	for _, a := range autos {
@@ -51,7 +56,7 @@ func CountUnique(g *graph.Graph, p *pattern.Pattern) uint64 {
 	if classSize == 0 {
 		classSize = 1
 	}
-	return all / classSize
+	return classSize
 }
 
 // Enumerate calls visit with each valid mapping (indexed by pattern

@@ -14,6 +14,7 @@ package peregrine
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"peregrine/internal/baseline"
@@ -336,7 +337,8 @@ func TestMorphBypassesEdgeInduced(t *testing.T) {
 // FuzzMorphRecovery fuzzes the recovery algebra itself: for any parsed
 // morphable pattern, evaluating MorphTerms' relation over direct engine
 // counts of the relatives must reproduce the pattern's own direct
-// count; the cost-model path (CountMany, whichever way it decides) must
+// count, and every direct count must match a callback-enumerated one;
+// the cost-model path (CountMany, whichever way it decides) must
 // agree; and when the pattern is the full vertex-induced form of its
 // skeleton, the pattern-oblivious baseline census must agree too.
 func FuzzMorphRecovery(f *testing.F) {
@@ -364,6 +366,16 @@ func FuzzMorphRecovery(f *testing.F) {
 			c, err := CountMany(g, []*Pattern{q}, WithThreads(2), WithoutMorphing())
 			if err != nil {
 				t.Fatalf("count %v: %v", q, err)
+			}
+			// Count-only runs complete their trailing levels in closed
+			// form; a callback run enumerates every match instead, so it
+			// is an oracle independent of that shortcut.
+			var seen atomic.Uint64
+			if _, err := ForEachMatch(g, q, func(*Ctx, *Match) { seen.Add(1) }, WithThreads(2)); err != nil {
+				t.Fatalf("enumerate %v: %v", q, err)
+			}
+			if seen.Load() != c[0] {
+				t.Fatalf("%v: count-only = %d, enumerated = %d", q, c[0], seen.Load())
 			}
 			return c[0]
 		}

@@ -337,7 +337,7 @@ func CountManyWithStats(g *Graph, ps []*Pattern, opts ...Option) ([]uint64, Mult
 }
 
 // Dataset identifies a built-in synthetic stand-in dataset (see
-// DESIGN.md §3 for the substitutions for the paper's datasets).
+// internal/gen for the paper dataset each one models).
 type Dataset = gen.Dataset
 
 // Built-in stand-in datasets for the paper's evaluation graphs.
